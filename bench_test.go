@@ -167,7 +167,7 @@ func BenchmarkNativeSortSlice(b *testing.B) {
 }
 
 // BenchmarkNativeSortKeyed is the one-core keyed-kernel reference: a
-// single LSD radix sort (seq.SortKeyed, the Config.Key fast path) over
+// single radix sort (seq.SortKeyed, the Config.Key fast path) over
 // the whole benchNativeN-element input. The honest denominator for the
 // keyed parallel numbers, next to the sort.Slice trajectory baseline.
 func BenchmarkNativeSortKeyed(b *testing.B) {

@@ -17,9 +17,13 @@
 //	sortbench -quick                          # small grids for a smoke run
 //	sortbench -trace trace.json -report -     # one traced AMS run (native p=4):
 //	                                          # Chrome trace JSON + text report
+//	sortbench -trace sim.json -tracebackend sim -tracep 64   # virtual-time trace
+//	sortbench -trace tcp.json -tracebackend tcp  # one process per rank, merged at rank 0
+//	sortbench -events events.txt              # raw simulator message/event dump
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -69,6 +73,7 @@ func main() {
 		reportOut  = flag.String("report", "", "with/instead of -trace: write the traced run's plain-text span+counter report here ('-' = stdout)")
 		traceBack  = flag.String("tracebackend", "native", "backend for the traced run: sim|native|tcp")
 		traceP     = flag.Int("tracep", 4, "PE count for the traced run")
+		eventsOut  = flag.String("events", "", "run one AMS sort on the simulator (-tracep PEs) and dump its raw send/recv/mark event list here ('-' = stdout), with a count summary on stderr; skips the experiments")
 	)
 	flag.Parse()
 
@@ -78,16 +83,25 @@ func main() {
 	}
 
 	// Traced run: one instrumented AMS sort on the chosen backend, merged
-	// multi-rank trace out, no experiment tables.
-	if *traceOut != "" || *reportOut != "" {
+	// multi-rank trace (or the simulator's raw event list) out, no
+	// experiment tables.
+	traceSpec := func() expt.Spec {
 		p := *traceP
-		perPE := *nativeN / p
 		k := 1
 		if p >= 4 {
 			k = 2 // multi-level traces show the per-level span hierarchy
 		}
-		spec := expt.Spec{Algo: expt.AMS, P: p, PerPE: perPE, Levels: k, Seed: *seed, Keyed: true}
-		if err := expt.TraceRun(spec, *traceBack, *traceOut, *reportOut, progress); err != nil {
+		return expt.Spec{Algo: expt.AMS, P: p, PerPE: *nativeN / p, Levels: k, Seed: *seed, Keyed: true}
+	}
+	if *traceOut != "" || *reportOut != "" {
+		if err := expt.TraceRun(traceSpec(), *traceBack, *traceOut, *reportOut, progress); err != nil {
+			fmt.Fprintf(os.Stderr, "sortbench: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
+	if *eventsOut != "" {
+		if err := writeEvents(traceSpec(), *eventsOut, progress); err != nil {
 			fmt.Fprintf(os.Stderr, "sortbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -172,6 +186,34 @@ func main() {
 			os.Exit(2)
 		}
 	})
+}
+
+// writeEvents dumps spec's simulator event trace to path ('-' = stdout)
+// and reports the event counts on progress.
+func writeEvents(spec expt.Spec, path string, progress io.Writer) error {
+	f := os.Stdout
+	if path != "-" {
+		var err error
+		if f, err = os.Create(path); err != nil {
+			return err
+		}
+		defer f.Close()
+	}
+	w := bufio.NewWriter(f)
+	summary, err := expt.EventTrace(spec, w)
+	if err != nil {
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	if progress != nil {
+		fmt.Fprintln(progress, summary)
+	}
+	if path != "-" {
+		return f.Close()
+	}
+	return nil
 }
 
 func min(a, b int) int {

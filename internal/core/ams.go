@@ -50,10 +50,13 @@ func taggedLess[E any](less func(a, b E) bool) func(a, b tagged[E]) bool {
 //     the next level may recycle it. Levels therefore ping-pong
 //     between two buffers per PE instead of allocating one per level.
 //   - pfx is the prefix sidecar / merge-staging arena of the prefix-
-//     cached comparator path (nil-prefix runs never touch it); like
-//     reuse it is dead between its level's consumers and recycled.
+//     cached kernels (nil-prefix runs never touch it); like reuse it
+//     is dead between its level's consumers and recycled.
+//
+// prefix is the run's resolved kernel hook (nil: plain comparator
+// kernels); exact marks it as a Config.Key, which decides every pair
+// on its own, so the local sorts can run the sidecar-free keyed radix.
 type localScratch[E any] struct {
-	key    func(E) uint64
 	prefix func(E) uint64
 	ids    []uint16
 	reuse  []E
@@ -63,8 +66,9 @@ type localScratch[E any] struct {
 	// rec is the run's obs recorder (nil when tracing is off — every
 	// span call no-ops); eb is the element size for the PhaseBytes
 	// accounting.
-	rec *obs.Recorder
-	eb  int64
+	rec   *obs.Recorder
+	eb    int64
+	exact bool
 }
 
 // grab returns a zero-length buffer with capacity ≥ n, recycling the
@@ -97,25 +101,23 @@ func (st *localScratch[E]) retire(buf []E) {
 	st.reuse = buf[:len(buf):len(buf)]
 }
 
-// sort runs the selected local kernel: in-place MSD radix when the run
-// is keyed (Config.Key), prefix-cached LSD radix when a prefix hook is
-// live, stable comparator sort otherwise. The comparator kernels at
-// merge-feeding sites are stable on purpose: with a stable baseline,
-// the prefix path's output is byte-identical to the plain path's even
-// on elements the comparator cannot tell apart (the keyed kernel stays
-// unstable — under the Key contract equal-key elements are
-// order-indistinguishable anyway).
+// sort runs the selected local kernel: the keyed MSD radix on an exact
+// prefix (Config.Key; its ping-pong buffer is kept as the next grab),
+// the prefix-cached LSD radix when a prefix hook is live, the stable
+// comparator sort otherwise. Every kernel is stable on purpose: with a
+// stable baseline, the hooked paths' output is byte-identical to the
+// plain path's even on elements the comparator cannot tell apart.
 func (st *localScratch[E]) sort(data []E, less func(a, b E) bool) {
-	if st.key != nil {
-		seq.SortKeyedInPlace(data, st.key)
-		return
-	}
-	if st.prefix != nil {
+	switch {
+	case st.exact:
+		scratch := st.grab(len(data))
+		st.reuse = seq.SortKeyed(data, st.prefix, scratch[:cap(scratch)])
+	case st.prefix != nil:
 		st.pfx = seq.ExtractPrefixes(st.pfx[:0], data, st.prefix)
 		seq.SortPrefixed(data, st.pfx, less, &st.psc)
-		return
+	default:
+		seq.SortStable(data, less)
 	}
-	seq.SortStable(data, less)
 }
 
 // sortCost charges the selected kernel's modeled cost for n elements:
@@ -123,26 +125,36 @@ func (st *localScratch[E]) sort(data []E, less func(a, b E) bool) {
 // comparison-sort model otherwise — so the simulated backend's virtual
 // time tracks the kernel that actually ran.
 func (st *localScratch[E]) sortCost(cost comm.Cost, n int64) {
-	if st.key != nil {
+	switch {
+	case st.exact:
 		cost.Ops(seq.SortKeyedOps(n))
-		return
-	}
-	if st.prefix != nil {
+	case st.prefix != nil:
 		cost.Ops(seq.SortPrefixedOps(n))
-		return
+	default:
+		cost.SortOps(n)
 	}
-	cost.SortOps(n)
 }
 
-// initScratch builds the run's scratch arena and resolves its kernel:
-// Config.Key wins, else a validated prefix hook that survives the
-// sampled entry guard arms the prefix-cached comparator kernels.
+// initScratch builds the run's scratch arena and resolves its kernel
+// hook, validating both hooks' types first: Config.Key becomes the
+// exact prefix; else, unless NoPrefix, the explicit Config.Prefix or a
+// derived natural-order prefix arms the prefix-cached kernels when it
+// survives the sampled entry guard.
 func initScratch[E any](data []E, less func(a, b E) bool, cfg Config) *localScratch[E] {
-	st := &localScratch[E]{key: keyFor[E](cfg), eb: int64(unsafe.Sizeof(*new(E)))}
-	// prefixFor also validates an explicit Config.Prefix hook's type, so
-	// call it even on keyed runs (where the key kernel supersedes it).
-	if pf := prefixFor[E](cfg); st.key == nil && pf != nil && prefixGuard(data, less, pf) {
-		st.prefix = pf
+	st := &localScratch[E]{eb: int64(unsafe.Sizeof(*new(E)))}
+	key := hookFor[E]("Key", cfg.Key)
+	pf := hookFor[E]("Prefix", cfg.Prefix)
+	switch {
+	case key != nil:
+		st.prefix, st.exact = key, true
+	case cfg.NoPrefix:
+	default:
+		if pf == nil {
+			pf = derivedPrefix[E]()
+		}
+		if pf != nil && prefixGuard(data, less, pf) {
+			st.prefix = pf
+		}
 	}
 	return st
 }
@@ -303,14 +315,14 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	// kernel (DESIGN.md §9). On the plain comparator path each outgoing
 	// piece is sorted now, so receivers multiway-merge sorted runs
 	// instead of re-sorting a concatenation from scratch ("we do not
-	// want to ignore the information already available", §5). The keyed
-	// and prefix-cached paths skip the piece sort: their stable radix
-	// over the received concatenation is linear, so pre-sorting pieces
-	// would only add work. The prefix path stays byte-identical to the
-	// merge shape — a stable sort of runs concatenated in sender-rank
-	// order IS the stable merge of those runs stably pre-sorted.
+	// want to ignore the information already available", §5). Hooked
+	// runs (Key or Prefix) skip the piece sort: their stable radix over
+	// the received concatenation is linear, so pre-sorting pieces would
+	// only add work. Both stay byte-identical to the merge shape — a
+	// stable sort of runs concatenated in sender-rank order IS the
+	// stable merge of those runs stably pre-sorted.
 	last := r == c.Size()
-	plainLast := last && st.key == nil && st.prefix == nil
+	plainLast := last && st.prefix == nil
 	cls.End()
 	var pieceSortNS int64
 	if plainLast {
@@ -365,58 +377,27 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 
 	// Concatenation shape: the received chunks are copied into the next
 	// level's buffer in rank order while the exchange is still running
-	// (streamConcat); at the keyed last level the copy loop also
-	// accumulates the radix histograms, so the final radix's counting
-	// pass overlaps the exchange too, and at the prefix-cached last
-	// level it extracts the arriving chunks' prefix sidecar the same
-	// way. Options.Batch routes through the original
-	// materialize-then-concatenate path instead (byte-identical;
-	// asserted by the torture harness).
-	var hkey, pf func(E) uint64
+	// (streamConcat). At the last level the copy loop also feeds the
+	// final radix: on an exact prefix (Config.Key) it accumulates the
+	// keyed radix histograms, so the counting pass overlaps the exchange
+	// and no sidecar is built; on a prefix hook it extracts the arriving
+	// chunks' prefix sidecar the same way.
+	var pf func(E) uint64
 	var hist *seq.KeyedHist
+	var pfx []uint64
+	bound := recvBound(c.Size(), c.Rank(), r, globalSizes, starts)
 	if last {
-		hkey = st.key
-		if hkey != nil {
+		pf = st.prefix
+		if st.exact {
 			hist = &seq.KeyedHist{}
 		} else {
-			pf = st.prefix
+			pfx = st.pfxGrab(bound)
 		}
 	}
 	exch := st.rec.StartLevel(obs.SpanExchange, level)
-	var next []E
-	if dopt.Batch {
-		chunks := delivery.Deliver(c, pieces, dopt)
-		var total int
-		for _, ch := range chunks {
-			total += len(ch)
-		}
-		next = st.grab(total)
-		var pfx []uint64
-		if pf != nil {
-			pfx = st.pfxGrab(total)
-		}
-		for _, ch := range chunks {
-			if hkey != nil {
-				seq.HistKeyed(ch, hkey, hist)
-			}
-			if pf != nil {
-				pfx = seq.ExtractPrefixes(pfx, ch, pf)
-			}
-			next = append(next, ch...)
-		}
-		if pf != nil {
-			st.pfx = pfx
-		}
-	} else {
-		bound := recvBound(c.Size(), c.Rank(), r, globalSizes, starts)
-		var pfx []uint64
-		if pf != nil {
-			pfx = st.pfxGrab(bound)
-		}
-		next, pfx = streamConcat(c, pieces, dopt, st.grab(bound), hkey, hist, pf, pfx)
-		if pf != nil {
-			st.pfx = pfx
-		}
+	next, pfx := streamConcat(c, pieces, dopt, st.grab(bound), pf, hist, pfx)
+	if pfx != nil {
+		st.pfx = pfx
 	}
 	total := len(next)
 	// data is dead once the barrier below has passed: every PE holding
@@ -430,19 +411,20 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 
 	if last {
 		// Fast-path last level: a stable radix sort of the concatenation
-		// is linear in total — no log k merge term. Keyed runs the LSD
-		// radix with its histograms already accumulated during the
-		// exchange and the retired level buffer as the ping-pong scratch
-		// (no copy-back: whichever buffer holds the result is returned,
-		// the other dies with the run); the prefix path runs the stable
-		// prefix radix over the sidecar extracted during the exchange,
-		// with the comparator deciding only equal-prefix runs.
+		// is linear in total — no log k merge term. An exact prefix runs
+		// the keyed LSD radix with its histograms already accumulated
+		// during the exchange and the retired level buffer as the
+		// ping-pong scratch (no copy-back: whichever buffer holds the
+		// result is returned, the other dies with the run); a prefix hook
+		// runs the stable prefix radix over the sidecar extracted during
+		// the exchange, with the comparator deciding only equal-prefix
+		// runs.
 		t4 := cost.Now()
 		ls := st.rec.StartLevel(obs.SpanLocalSort, level).N(int64(total))
 		var sorted []E
-		if st.key != nil {
+		if st.exact {
 			scratch := st.grab(total)
-			sorted, _ = seq.SortKeyedHist(next, st.key, scratch[:cap(scratch)], hist)
+			sorted, _ = seq.SortKeyedHist(next, st.prefix, scratch[:cap(scratch)], hist)
 			cost.Ops(seq.SortKeyedOps(int64(total)))
 		} else {
 			scratch := st.grab(total)
@@ -496,33 +478,11 @@ func amsPartition[E any](c comm.Communicator, data []E, splitters []tagged[E], l
 
 	var bounds []int
 	var levels int
-	if st.key != nil && nb <= seq.MaxInPlaceBuckets {
-		// Keyed fast path: the descent runs on raw uint64 compares
-		// (seq.KeyedClassifier) with the classification loop inlined
-		// over the id scratch — the generic path's per-level closure
-		// calls are the single hottest cost of keyed AMS-sort. The
-		// classifications agree exactly with the generic classifier
-		// under the Config.Key contract.
-		skeys := make([]uint64, len(keys))
-		for i, k := range keys {
-			skeys[i] = st.key(k)
-		}
-		kc := seq.NewKeyedClassifier(skeys)
-		levels = kc.Levels()
-		if len(st.ids) < len(data) {
-			st.ids = make([]uint16, len(data))
-		}
-		if cfg.TieBreak {
-			seq.ClassifyKeyedEq(data, st.key, kc, st.ids, tieFix)
-		} else {
-			seq.ClassifyKeyed(data, st.key, kc, st.ids)
-		}
-		bounds = seq.PartitionInPlaceIDs(data, nb, st.ids[:len(data)])
-	} else if spfx := splitterPrefixes(keys, st); spfx != nil && nb <= seq.MaxInPlaceBuckets {
-		// Prefix fast path: the same branchless uint64 descent as the
-		// keyed classifier, over the splitters' prefixes. Only elements
-		// whose prefix collides with a splitter's ever touch the
-		// comparator: the fallback binary-searches the run of
+	if spfx := splitterPrefixes(keys, st); spfx != nil && nb <= seq.MaxInPlaceBuckets {
+		// Prefix fast path (exact Key prefixes included): the §2.2
+		// branchless uint64 descent over the splitters' prefixes. Only
+		// elements whose prefix collides with a splitter's ever touch
+		// the comparator: the fallback binary-searches the run of
 		// equal-prefix splitters (plus Appendix-D tie-breaking when
 		// enabled), reproducing the generic classifier's bucket exactly —
 		// for everything else a strict prefix inequality already decides

@@ -128,15 +128,14 @@ type Config struct {
 	// Key optionally declares the element order to be the natural order
 	// of a uint64 key: set it to a func(E) uint64 (for the sorted
 	// element type E) satisfying less(a, b) == (Key(a) < Key(b)) for
-	// all a, b. When set, the local-phase kernels switch from generic
-	// pdqsort to an in-place MSD radix sort on the key
-	// (seq.SortKeyedInPlace) — the cache-efficient fast path that makes
-	// native strong scaling beat a one-core comparison sort on
-	// integer-keyed data. A hook of any other type (or a mismatched
-	// element type) is ignored. The keyed kernel is deterministic but
-	// NOT stable on equal keys — the same (lack of) guarantee as the
-	// comparator kernel, and under the contract above equal-key
-	// elements are order-indistinguishable anyway.
+	// all a, b. A Key is an exact prefix (see Prefix): it decides every
+	// pair on its own. The splitter descent and the loser-tree merges
+	// run on it like on any prefix, and the local sorts are stable radix
+	// sorts on the key (seq.SortKeyed, seq.SortKeyedHist) that need no
+	// prefix sidecar. Every kernel is stable, so the output is
+	// byte-identical to the plain comparator path. Key takes precedence
+	// over Prefix and is unaffected by NoPrefix; a hook whose type does
+	// not match the element type is rejected at sort entry.
 	Key any
 	// Prefix optionally supplies an order-preserving uint64 prefix of
 	// the element order for the comparator path: a func(E) uint64 with
@@ -150,56 +149,37 @@ type Config struct {
 	// sign-flipped integers, totally-ordered float bits, a struct's
 	// leading key field, a string's first 8 bytes (DESIGN.md §11) — and
 	// the kernels run branch-free on the prefix, falling back to the
-	// comparator only inside equal-prefix runs. When unset, Key doubles
-	// as the prefix on keyed runs, and for ordered scalar and string
-	// element types a natural-order prefix is derived automatically
-	// (assuming less is the type's ascending natural order; a sampled
-	// entry guard drops a derived hook that contradicts less, and
-	// NoPrefix opts out entirely). A hook whose type does not match the
-	// element type is rejected at sort entry. The prefix path is
-	// byte-identical to the plain comparator path.
+	// comparator only inside equal-prefix runs. When unset, for ordered
+	// scalar and string element types a natural-order prefix is derived
+	// automatically (assuming less is the type's ascending natural
+	// order; a sampled entry guard drops a derived hook that contradicts
+	// less, and NoPrefix opts out entirely). A hook whose type does not
+	// match the element type is rejected at sort entry. The prefix path
+	// is byte-identical to the plain comparator path.
 	Prefix any
 	// NoPrefix disables the comparator path's prefix cache (explicit
-	// Prefix hooks, Key reuse, and automatic derivation alike): every
+	// Prefix hooks and automatic derivation alike): without a Key, every
 	// local kernel then runs on the comparator only. Output is
 	// unchanged either way.
 	NoPrefix bool
 }
 
-// keyFor extracts the Config.Key hook for element type E (nil when
-// unset or set for a different element type).
-func keyFor[E any](cfg Config) func(E) uint64 {
-	key, _ := cfg.Key.(func(E) uint64)
-	return key
-}
-
-// prefixFor resolves the comparator path's prefix hook for element
-// type E: the explicit Config.Prefix when set — a hook whose type does
-// not match the element type is a configuration error and rejected
-// here, at sort entry, with the same error shape as the other Config
-// checks (instead of panicking mid-classify) — else Config.Key (a full
-// order key is the strongest possible prefix), else a derived
-// natural-order prefix for ordered element types. NoPrefix disables
-// all three.
-func prefixFor[E any](cfg Config) func(E) uint64 {
-	if cfg.Prefix != nil {
-		pf, ok := cfg.Prefix.(func(E) uint64)
-		if !ok {
-			var zero E
-			panic(fmt.Sprintf("core: Config.Prefix is %T, want func(%T) uint64", cfg.Prefix, zero))
-		}
-		if cfg.NoPrefix {
-			return nil
-		}
-		return pf
-	}
-	if cfg.NoPrefix {
+// hookFor resolves a Config.Key or Config.Prefix hook (named by
+// field) for element type E: nil when unset, the hook when it is a
+// func(E) uint64. Any other value is a configuration error, rejected
+// here at sort entry with the same error shape as the other Config
+// checks — instead of panicking mid-classify or silently running the
+// slower comparator kernels.
+func hookFor[E any](field string, hook any) func(E) uint64 {
+	if hook == nil {
 		return nil
 	}
-	if key := keyFor[E](cfg); key != nil {
-		return key
+	fn, ok := hook.(func(E) uint64)
+	if !ok {
+		var zero E
+		panic(fmt.Sprintf("core: Config.%s is %T, want func(%T) uint64", field, hook, zero))
 	}
-	return derivedPrefix[E]()
+	return fn
 }
 
 // registerWire registers every payload type the multi-level sorters can

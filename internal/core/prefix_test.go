@@ -14,21 +14,39 @@ import (
 // panic mid-classify.
 func TestPrefixTypeMismatchPanics(t *testing.T) {
 	bad := func(string) uint64 { return 0 }
-	for _, fn := range []sorterFn{AMSSort[int], RLMSort[int]} {
+	expectHookPanic(t, Config{Prefix: bad}, "core: Config.Prefix is func(string) uint64, want func(int) uint64")
+}
+
+// TestKeyTypeMismatchPanics: a Config.Key hook for the wrong element
+// type is rejected at sort entry with the same error shape as Prefix —
+// not silently ignored, which would run the slower comparator kernels —
+// and NoPrefix does not hide it.
+func TestKeyTypeMismatchPanics(t *testing.T) {
+	bad := func(uint32) uint64 { return 0 }
+	const want = "core: Config.Key is func(uint32) uint64, want func(int) uint64"
+	expectHookPanic(t, Config{Key: bad}, want)
+	expectHookPanic(t, Config{Key: bad, NoPrefix: true}, want)
+}
+
+// expectHookPanic runs both sorters with cfg and demands the entry
+// panic want on each.
+func expectHookPanic(t *testing.T, cfg Config, want string) {
+	t.Helper()
+	for name, fn := range map[string]sorterFn{"ams": AMSSort[int], "rlm": RLMSort[int]} {
 		func() {
 			defer func() {
 				r := recover()
 				if r == nil {
-					t.Fatalf("mismatched Prefix hook did not panic")
+					t.Fatalf("%s: mismatched hook did not panic", name)
 				}
 				msg, ok := r.(string)
-				if !ok || !strings.Contains(msg, "core: Config.Prefix is func(string) uint64, want func(int) uint64") {
-					t.Fatalf("unexpected panic: %v", r)
+				if !ok || !strings.Contains(msg, want) {
+					t.Fatalf("%s: unexpected panic: %v", name, r)
 				}
 			}()
 			m := sim.NewDefault(2)
 			m.Run(func(pe *sim.PE) {
-				fn(sim.World(pe), []int{3, 1, 2}, intLess, Config{Prefix: bad})
+				fn(sim.World(pe), []int{3, 1, 2}, intLess, cfg)
 			})
 		}()
 	}
@@ -148,7 +166,9 @@ func TestPrefixGuardDropsContradictedHook(t *testing.T) {
 // TestPrefixPathByteIdentity: with a coarse non-injective hook on a
 // tie-revealing struct element, the prefix path must reproduce the
 // plain comparator path byte for byte — including under Appendix-D
-// tie-breaking and across multi-level plans.
+// tie-breaking and across multi-level plans — and so must the exact
+// Key path, whose stable radix kernels keep equal-key payloads in the
+// comparator path's order.
 func TestPrefixPathByteIdentity(t *testing.T) {
 	type kv struct{ K, V int }
 	kvLess := func(a, b kv) bool { return a.K < b.K }
@@ -191,10 +211,15 @@ func TestPrefixPathByteIdentity(t *testing.T) {
 				off.NoPrefix = true
 				on := base
 				on.Prefix = hook
+				keyed := base
+				keyed.Key = func(e kv) uint64 { return uint64(e.K) }
 				plain := run(func(pe *sim.PE) ([]kv, *Stats) { return mk(pe, off) })
 				prefixed := run(func(pe *sim.PE) ([]kv, *Stats) { return mk(pe, on) })
 				if !reflect.DeepEqual(plain, prefixed) {
 					t.Fatalf("%s levels=%d tieBreak=%v: prefix path diverges from plain comparator path", name, levels, tieBreak)
+				}
+				if exact := run(func(pe *sim.PE) ([]kv, *Stats) { return mk(pe, keyed) }); !reflect.DeepEqual(plain, exact) {
+					t.Fatalf("%s levels=%d tieBreak=%v: Key path diverges from plain comparator path", name, levels, tieBreak)
 				}
 			}
 		}

@@ -103,6 +103,16 @@ func rlmLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	var chunks [][]E
 	var cpfx [][]uint64
 	if st.prefix != nil {
+		// Size the sidecar arena up front for this PE's share of its
+		// group's (g+1)·n/r − g·n/r elements, so the per-chunk
+		// extraction appends without a realloc chain.
+		loads := make([]int64, r)
+		groups := make([]int, r+1)
+		for g := range loads {
+			loads[g] = int64(g+1)*n/int64(r) - int64(g)*n/int64(r)
+			groups[g+1] = g + 1
+		}
+		st.pfxGrab(recvBound(c.Size(), c.Rank(), r, loads, groups))
 		chunks, cpfx = streamRuns(c, pieces, dopt, st)
 	} else {
 		chunks = delivery.Deliver(c, pieces, dopt)

@@ -7,54 +7,46 @@ import (
 )
 
 // This file holds the sorters' receive-driven delivery consumers
-// (DESIGN.md §10). delivery.DeliverStream hands out each sender's
-// chunks as that sender's message arrives; what a level does with them
-// depends on its shape:
+// (DESIGN.md §10), the only way the sorters consume an exchange.
+// delivery.DeliverStream hands out each sender's chunks as that
+// sender's message arrives; what a level does with them depends on its
+// shape:
 //
-//   - Concatenation levels (every non-last AMS level, and the keyed
-//     and prefix-cached last levels feeding the radix kernels) copy
-//     chunks into the next level buffer *during* the exchange — in
-//     sender-rank order, so the result is byte-identical to the
-//     materialize-then-concatenate batch path — and accumulate the
-//     radix histograms (keyed) or extract the prefix sidecar
-//     (prefix-cached) on the fly, so the first pass of the final radix
-//     has already happened when the last byte arrives.
+//   - Concatenation levels (every non-last AMS level, and the hooked
+//     last levels feeding the radix kernels) copy chunks into the next
+//     level buffer *during* the exchange — in sender-rank order, so the
+//     result is byte-identical to concatenating delivery.Deliver's
+//     chunk list — and accumulate the keyed radix histograms (exact
+//     prefix) or extract the prefix sidecar (prefix hook) on the fly,
+//     so the first pass of the final radix has already happened when
+//     the last byte arrives.
 //   - Merge levels (RLM, the plain-comparator last AMS level) only
 //     stage the arriving runs: a loser-tree merge needs all its runs,
-//     so the merge itself starts at the last arrival — they use
-//     delivery.Deliver, which since the streaming rewrite IS the
-//     rank-ordered collector over DeliverStream; what overlaps there
-//     is the staging and, on the TCP backend, the decode of later
-//     messages behind the processing of earlier ones.
-//
-// delivery.Options.Batch routes a concatenation level through the
-// original materialize-then-process path instead (for merge levels the
-// two are the same code); the torture harness randomizes the knob and
-// asserts the two are byte-identical.
+//     so the merge itself starts at the last arrival. What overlaps
+//     there is the staging, the prefix extraction (streamRuns) and, on
+//     the TCP backend, the decode of later messages behind the
+//     processing of earlier ones.
 
 // streamConcat delivers pieces and concatenates the received chunks in
 // sender-rank order into buf (a zero-length slice with capacity from
 // the caller's bound). Chunks are copied as they arrive: the in-order
 // prefix eagerly — overlapping the memcpy with the remaining exchange —
 // and out-of-order arrivals staged (by reference, no copy) until their
-// turn. key, when non-nil, additionally folds every copied chunk into
-// h, pre-computing the LSD radix histograms of the concatenation; pf,
-// when non-nil, appends every copied chunk's prefixes to pfx — the
-// sidecar is built in the same rank order as buf, so the two stay
-// aligned — pre-computing the prefix extraction of the concatenation
-// the same way. At most one of key/pf is set (they feed the two
-// different last-level kernels).
-func streamConcat[E any](c comm.Communicator, pieces [][]E, opt delivery.Options, buf []E, key func(E) uint64, h *seq.KeyedHist, pf func(E) uint64, pfx []uint64) ([]E, []uint64) {
+// turn. With a hook pf, every copied chunk also feeds the final radix:
+// folded into the histograms h when h is non-nil (the exact-prefix
+// radix), else its prefixes appended to pfx — built in the same rank
+// order as buf, so the sidecar stays aligned with the concatenation.
+func streamConcat[E any](c comm.Communicator, pieces [][]E, opt delivery.Options, buf []E, pf func(E) uint64, h *seq.KeyedHist, pfx []uint64) ([]E, []uint64) {
 	p := c.Size()
 	pending := make([][][]E, p)
 	arrived := make([]bool, p)
 	nextSrc := 0
 	add := func(chs [][]E) {
 		for _, ch := range chs {
-			if key != nil {
-				seq.HistKeyed(ch, key, h)
-			}
-			if pf != nil {
+			switch {
+			case h != nil:
+				seq.HistKeyed(ch, pf, h)
+			case pf != nil:
 				pfx = seq.ExtractPrefixes(pfx, ch, pf)
 			}
 			buf = append(buf, ch...)
@@ -81,45 +73,32 @@ func streamConcat[E any](c comm.Communicator, pieces [][]E, opt delivery.Options
 // arena (st.pfx, recycled across levels; dead between a level's merge
 // and the next level's staging); spans are recorded as offsets and
 // sliced only after the stream completes, since the growing arena may
-// reallocate under earlier sub-slices. Options.Batch extracts after a
-// batch Deliver instead — byte-identical, like the concatenation path.
+// reallocate under earlier sub-slices.
 func streamRuns[E any](c comm.Communicator, pieces [][]E, opt delivery.Options, st *localScratch[E]) (chunks [][]E, pfx [][]uint64) {
 	type span struct{ off, n int }
 	arena := st.pfx[:0]
-	extract := func(chs [][]E) []span {
+	p := c.Size()
+	bySrc := make([][][]E, p)
+	spansBySrc := make([][]span, p)
+	nchunks := 0
+	delivery.DeliverStream(c, pieces, opt, func(src int, chs [][]E) {
 		ss := make([]span, len(chs))
 		for i, ch := range chs {
-			off := len(arena)
+			ss[i] = span{len(arena), len(ch)}
 			arena = seq.ExtractPrefixes(arena, ch, st.prefix)
-			ss[i] = span{off, len(ch)}
 		}
-		return ss
-	}
-	var spans []span
-	if opt.Batch {
-		chunks = delivery.Deliver(c, pieces, opt)
-		spans = extract(chunks)
-	} else {
-		p := c.Size()
-		bySrc := make([][][]E, p)
-		spansBySrc := make([][]span, p)
-		nchunks := 0
-		delivery.DeliverStream(c, pieces, opt, func(src int, chs [][]E) {
-			bySrc[src] = chs
-			spansBySrc[src] = extract(chs)
-			nchunks += len(chs)
-		})
-		chunks = make([][]E, 0, nchunks)
-		spans = make([]span, 0, nchunks)
-		for src := 0; src < p; src++ {
-			chunks = append(chunks, bySrc[src]...)
-			spans = append(spans, spansBySrc[src]...)
-		}
-	}
+		bySrc[src] = chs
+		spansBySrc[src] = ss
+		nchunks += len(chs)
+	})
 	st.pfx = arena
-	pfx = make([][]uint64, len(chunks))
-	for i, s := range spans {
-		pfx[i] = arena[s.off : s.off+s.n]
+	chunks = make([][]E, 0, nchunks)
+	pfx = make([][]uint64, 0, nchunks)
+	for src := 0; src < p; src++ {
+		chunks = append(chunks, bySrc[src]...)
+		for _, s := range spansBySrc[src] {
+			pfx = append(pfx, arena[s.off:s.off+s.n])
+		}
 	}
 	return chunks, pfx
 }

@@ -100,14 +100,6 @@ type Options struct {
 	// SplitFactorA is the a in the Appendix A chunk limit s = a·n/(rp);
 	// 0 picks the Lemma 6 value a ≈ (√(1+r/ln(rp)) - 1)/2.
 	SplitFactorA float64
-	// Batch disables the receive-driven streaming exchange: the sorters
-	// fall back to the original materialize-then-process bulk exchange
-	// (Deliver + post-barrier concatenation/merge) instead of consuming
-	// DeliverStream. Streamed and batch deliveries are byte-identical —
-	// the torture harness randomizes this knob and asserts it — so Batch
-	// exists as the conformance reference and an A/B lever, not as a
-	// semantic switch.
-	Batch bool
 }
 
 // chunk is a contiguous part of one sender's piece travelling through the

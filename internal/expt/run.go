@@ -73,14 +73,15 @@ type Spec struct {
 	Overpartition int
 	Delivery      delivery.Options
 	TieBreak      bool
-	// Keyed enables the ordered-key kernel fast path (Config.Key): the
-	// local sort phases run an in-place uint64 MSD radix sort instead
-	// of generic pdqsort. The harness supplies the identity key for its
+	// Keyed installs Config.Key, the exact prefix: classification,
+	// merges, and local sorts run on uint64 keys (the local sorts as
+	// stable radix sorts), with output byte-identical to the
+	// comparator kernels. The harness supplies the identity key for its
 	// uint64 workloads (and the order key for the torture harness's
 	// struct elements).
 	Keyed bool
 	// PrefixMode selects the comparator path's prefix cache (ignored by
-	// keyed runs, which use the radix kernel regardless).
+	// keyed runs, whose Key takes precedence).
 	PrefixMode PrefixMode
 }
 
@@ -89,7 +90,7 @@ type PrefixMode int
 
 const (
 	// PrefixAuto (the zero value) leaves the cache to core's automatic
-	// derivation (plus Config.Key reuse on keyed runs).
+	// derivation.
 	PrefixAuto PrefixMode = iota
 	// PrefixOff disables the cache (core.Config.NoPrefix): every local
 	// kernel runs on the comparator only.

@@ -80,14 +80,10 @@ func (tc TortureCase) String() string {
 	if tc.Spec.Keyed {
 		elem += "/keyed"
 	}
-	exch := "stream"
-	if tc.Spec.Delivery.Batch {
-		exch = "batch"
-	}
-	return fmt.Sprintf("seed=%d %v p=%d n/p=%d kind=%v k=%d a=%g b=%d dlv=%v/%d/%s elem=%s pfx=%v %s",
+	return fmt.Sprintf("seed=%d %v p=%d n/p=%d kind=%v k=%d a=%g b=%d dlv=%v/%d elem=%s pfx=%v %s",
 		tc.Seed, tc.Spec.Algo, tc.Spec.P, tc.Spec.PerPE, tc.Spec.Kind, tc.Spec.Levels,
 		tc.Spec.Oversampling, tc.Spec.Overpartition, tc.Spec.Delivery.Strategy,
-		tc.Spec.Delivery.Exchange, exch, elem, tc.Spec.PrefixMode, backends)
+		tc.Spec.Delivery.Exchange, elem, tc.Spec.PrefixMode, backends)
 }
 
 // tortureAlgos is the sweep's sorter population. Power-of-two-only
@@ -145,27 +141,23 @@ func DeriveTorture(seed uint64) TortureCase {
 		Pair:  rng.Intn(3) == 0,
 		Chaos: rng.Next(),
 	}
-	// The keyed-kernel dimension: a third of the cases run the radix
-	// fast path (Config.Key) instead of the comparator kernels, so the
-	// sweep continuously cross-checks the two local-sort paths against
-	// each other through the byte-identity and multiset invariants.
+	// The exact-prefix dimension: a third of the cases install Config.Key,
+	// whose kernels must be invisible in the bytes — every such case
+	// re-runs with the plain comparator kernels and demands identical
+	// output (tortureRun).
 	tc.Spec.Keyed = rng.Intn(3) == 0
 	// A TCP loopback cluster per case is expensive (rendezvous, real
 	// sockets); run it on a sixth of the small-p cases.
 	tc.TCP = p <= 4 && rng.Intn(6) == 0
-	// The exchange-consumption dimension: half the cases route the
-	// sorters through the original materialize-then-process delivery
-	// (Batch) instead of the streaming consumers, so the cross-backend
-	// byte-identity invariant continuously cross-checks the two data
-	// paths against each other — on top of the direct batch-vs-stream
-	// delivery check every case runs (tortureDeliveryCheck).
-	tc.Spec.Delivery.Batch = rng.Intn(2) == 0
-	// The prefix-cache dimension (comparator path only; keyed cases run
-	// the radix kernel regardless): a third of the cases disable the
-	// cache, a third run the auto-derived hook, a third a deliberately
-	// coarse hook with heavy prefix collisions. Every non-keyed case
-	// additionally re-runs natively with the cache toggled and demands
-	// byte-identical output (tortureRun).
+	// Discarded draw: it once chose a batch exchange consumer, and
+	// keeping it keeps every later field of every seed's case unchanged.
+	_ = rng.Intn(2)
+	// The prefix-cache dimension (keyed cases use Config.Key regardless):
+	// a third of the cases disable the cache, a third run the
+	// auto-derived hook, a third a deliberately coarse hook with heavy
+	// prefix collisions. Every non-keyed case additionally re-runs
+	// natively with the cache toggled and demands byte-identical output
+	// (tortureRun).
 	tc.Spec.PrefixMode = PrefixMode(rng.Intn(3))
 	// The network-fault dimension: half the TCP legs run under the mild
 	// netfault profile (tortureTCP). The draw happens unconditionally —
@@ -223,8 +215,8 @@ func RunTorture(tc TortureCase) (string, error) {
 }
 
 // runAlgoE dispatches the spec's sorter for any element type. key is
-// the Config.Key hook installed when spec.Keyed is set (nil disables
-// the keyed kernel regardless of spec.Keyed; only AMS/RLM consume it).
+// the Config.Key hook installed when spec.Keyed is set (nil leaves Key
+// unset regardless of spec.Keyed; only AMS/RLM consume it).
 // coarse is the non-injective Config.Prefix hook installed under
 // PrefixCoarse (nil falls back to automatic derivation).
 func runAlgoE[E any](c comm.Communicator, spec Spec, data []E, less func(a, b E) bool, key func(E) uint64, coarse func(E) uint64) ([]E, *core.Stats) {
@@ -258,8 +250,8 @@ func runAlgoE[E any](c comm.Communicator, spec Spec, data []E, less func(a, b E)
 // tortureRun executes tc for one element type and checks every
 // invariant. mk maps a workload key to an element, hash is the
 // order-independent per-element hash of the multiset check, key is the
-// Config.Key hook used when the case runs the keyed kernel, and coarse
-// is the non-injective Config.Prefix hook of PrefixCoarse cases.
+// Config.Key hook of keyed cases, and coarse is the non-injective
+// Config.Prefix hook of PrefixCoarse cases.
 func tortureRun[E any](tc TortureCase, mk func(k uint64) E, less func(a, b E) bool, hash func(E) uint64, key func(E) uint64, coarse func(E) uint64) error {
 	spec := tc.Spec
 	locals := make([][]E, spec.P)
@@ -308,32 +300,37 @@ func tortureRun[E any](tc TortureCase, mk func(k uint64) E, less func(a, b E) bo
 		}
 	}
 
-	// The prefix-cache byte-identity invariant: re-run the case natively
-	// with the cache toggled (off ↔ on) and demand identical output —
-	// the prefix kernels must be invisible in the bytes, tie-heavy
-	// element types included. Keyed cases skip it (the radix kernel
-	// ignores the cache), as do the baselines (only AMS/RLM consume
-	// it). TCP identity for the flipped mode follows by transitivity
-	// from the cross-backend check above.
-	if !spec.Keyed && (spec.Algo == AMS || spec.Algo == RLM) {
+	// The kernel byte-identity invariant: re-run the case natively with
+	// the kernel hook toggled and demand identical output — the Key and
+	// prefix kernels must be invisible in the bytes, tie-heavy element
+	// types included. Keyed cases re-run on the plain comparator kernels
+	// (Key unset, cache off); the others toggle the cache (off ↔ on).
+	// The baselines skip it (only AMS/RLM consume the hooks). TCP
+	// identity for the toggled leg follows by transitivity from the
+	// cross-backend check above.
+	if spec.Algo == AMS || spec.Algo == RLM {
 		alt := tc
-		if alt.Spec.PrefixMode == PrefixOff {
+		switch {
+		case alt.Spec.Keyed:
+			alt.Spec.Keyed = false
+			alt.Spec.PrefixMode = PrefixOff
+		case alt.Spec.PrefixMode == PrefixOff:
 			alt.Spec.PrefixMode = PrefixAuto
-		} else {
+		default:
 			alt.Spec.PrefixMode = PrefixOff
 		}
 		out, _, err := tortureBackendRun(alt, "native", locals, less, key, coarse)
 		if err != nil {
-			return fmt.Errorf("torture %s: prefix-toggled leg (pfx=%v): %w", tc, alt.Spec.PrefixMode, err)
+			return fmt.Errorf("torture %s: kernel-toggled leg (keyed=%v pfx=%v): %w", tc, alt.Spec.Keyed, alt.Spec.PrefixMode, err)
 		}
 		if !reflect.DeepEqual(out, outs["sim"]) {
-			return fmt.Errorf("torture %s: prefix-toggled output (pfx=%v) differs — prefix path is not byte-identical", tc, alt.Spec.PrefixMode)
+			return fmt.Errorf("torture %s: kernel-toggled output (keyed=%v pfx=%v) differs — hooked kernels are not byte-identical", tc, alt.Spec.Keyed, alt.Spec.PrefixMode)
 		}
 	}
 
-	// The exchange dimension, checked directly: batch and streamed
-	// deliveries of one seeded piece cut must be byte-identical on every
-	// backend leg, and all legs must agree on the delivered bytes.
+	// The exchange, checked directly: batch and streamed deliveries of
+	// one seeded piece cut must be byte-identical on every backend leg,
+	// and all legs must agree on the delivered bytes.
 	if err := tortureDeliveryCheck(tc, locals); err != nil {
 		return fmt.Errorf("torture %s: %w", tc, err)
 	}
@@ -379,10 +376,8 @@ func tortureDeliveryCheck[E any](tc TortureCase, locals [][]E) error {
 		var mu sync.Mutex
 		run := func(c comm.Communicator, rank int) {
 			batch := delivery.Deliver(c, cut(rank), opt)
-			sopt := opt
-			sopt.Batch = false
 			bySrc := make([][][]E, p)
-			delivery.DeliverStream(c, cut(rank), sopt, func(src int, chunks [][]E) { bySrc[src] = chunks })
+			delivery.DeliverStream(c, cut(rank), opt, func(src int, chunks [][]E) { bySrc[src] = chunks })
 			var stream [][]E
 			for _, chs := range bySrc {
 				stream = append(stream, chs...)

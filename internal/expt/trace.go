@@ -9,6 +9,7 @@ import (
 	"pmsort/internal/native"
 	"pmsort/internal/obs"
 	"pmsort/internal/sim"
+	"pmsort/internal/workload"
 )
 
 // TraceBackends names the backends a traced run can target.
@@ -48,6 +49,33 @@ func writeTraceFiles(trace *obs.Trace, tracePath, reportPath string) error {
 		return f.Close()
 	}
 	return nil
+}
+
+// EventTrace sorts the spec's workload once on the simulator with the
+// raw event recorder on and writes every send, receive, and PE.Mark
+// (the sort is bracketed by "sort start"/"sort done" marks) to w, one
+// line per event with its virtual timestamp. It returns a one-line
+// summary of the event counts.
+func EventTrace(spec Spec, w io.Writer) (string, error) {
+	m := sim.NewDefault(spec.P)
+	m.EnableTracing()
+	m.Run(func(pe *sim.PE) {
+		data := workload.Local(spec.Kind, spec.Seed, spec.P, spec.PerPE, pe.Rank())
+		pe.Mark("sort start")
+		runAlgo(sim.World(pe), spec, data)
+		pe.Mark("sort done")
+	})
+	counts := map[sim.EventKind]int{}
+	var words int64
+	for _, ev := range m.Trace() {
+		counts[ev.Kind]++
+		if ev.Kind == sim.EvSend {
+			words += ev.Words
+		}
+	}
+	summary := fmt.Sprintf("p=%d n/p=%d levels=%d: %d sends (%d words), %d recvs, %d marks",
+		spec.P, spec.PerPE, spec.Levels, counts[sim.EvSend], words, counts[sim.EvRecv], counts[sim.EvMark])
+	return summary, m.WriteTrace(w)
 }
 
 // TraceRun executes one fully traced, validated sort on the chosen

@@ -8,11 +8,18 @@ import (
 
 func u64less(a, b uint64) bool { return a < b }
 
-// TestKeyedClassifierMatchesGeneric pins the keyed classifier against
-// the generic one on random splitter sets (with duplicates): under the
-// Config.Key contract the two must classify every key identically —
-// both the plain buckets and the Appendix-D equality buckets.
-func TestKeyedClassifierMatchesGeneric(t *testing.T) {
+// exactFallback is ClassifyPrefixed's fallback for an exact prefix
+// (the identity on uint64): every splitter of the colliding run equals
+// the element, so the element's range bucket is the run's end.
+func exactFallback(_, _, hi int) int { return hi }
+
+// TestClassifyPrefixedExactMatchesGeneric pins the prefix descent on an
+// exact prefix against the generic classifier on random splitter sets
+// (with duplicates): under the Config.Key contract the two must
+// classify every key identically, and the fallback run must be exactly
+// the splitters equal to the key (what Appendix-D tie-breaking
+// searches).
+func TestClassifyPrefixedExactMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		m := 1 + rng.Intn(70)
@@ -22,33 +29,45 @@ func TestKeyedClassifierMatchesGeneric(t *testing.T) {
 		}
 		sortSplitters(splitters)
 		gen := NewClassifier(splitters, u64less)
-		key := NewKeyedClassifier(splitters)
-		if gen.NumBuckets() != key.NumBuckets() || gen.Levels() != key.Levels() {
+		pc := NewPrefixClassifier(splitters)
+		if gen.NumBuckets() != pc.NumBuckets() || gen.Levels() != pc.Levels() {
 			t.Fatalf("shape mismatch: %d/%d buckets, %d/%d levels",
-				gen.NumBuckets(), key.NumBuckets(), gen.Levels(), key.Levels())
+				gen.NumBuckets(), pc.NumBuckets(), gen.Levels(), pc.Levels())
 		}
-		for k := uint64(0); k < 45; k++ {
-			if g, kk := gen.Bucket(k), key.Bucket(k); g != kk {
-				t.Fatalf("trial %d: Bucket(%d) = %d generic, %d keyed (splitters %v)", trial, k, g, kk, splitters)
+		data := make([]uint64, 45)
+		for k := range data {
+			data[k] = uint64(k)
+		}
+		ids := make([]uint16, len(data))
+		ClassifyPrefixed(data, ident, pc, ids, func(i, lo, hi int) int {
+			k := data[i]
+			if LowerBound(splitters, k, u64less) != lo || UpperBound(splitters, k, u64less) != hi {
+				t.Fatalf("trial %d: key %d fell back on run [%d, %d), splitters %v", trial, k, lo, hi, splitters)
 			}
-			if g, kk := gen.BucketEq(k), key.BucketEq(k); g != kk {
-				t.Fatalf("trial %d: BucketEq(%d) = %d generic, %d keyed", trial, k, g, kk)
+			if eq := gen.BucketEq(k); eq != 2*(hi-1)+1 {
+				t.Fatalf("trial %d: key %d fell back, but BucketEq = %d is not an equality bucket", trial, k, eq)
+			}
+			return exactFallback(i, lo, hi)
+		})
+		for i, k := range data {
+			if g := gen.Bucket(k); int(ids[i]) != g {
+				t.Fatalf("trial %d: key %d bucketed %d, generic says %d (splitters %v)", trial, k, ids[i], g, splitters)
 			}
 		}
 	}
 }
 
-// TestClassifyKeyedMatchesPartitionInPlace pins the unrolled keyed
+// TestClassifyPrefixedMatchesPartitionInPlace pins the unrolled prefix
 // classification + PartitionInPlaceIDs against the closure-driven
 // PartitionInPlace: same bounds, same bucket contents (as multisets —
 // the flag walk is unstable), for awkward lengths around the 4-way
 // unroll.
-func TestClassifyKeyedMatchesPartitionInPlace(t *testing.T) {
+func TestClassifyPrefixedMatchesPartitionInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	splitters := []uint64{10, 20, 20, 30, 55}
-	kc := NewKeyedClassifier(splitters)
+	pc := NewPrefixClassifier(splitters)
 	cls := NewClassifier(splitters, u64less)
-	nb := kc.NumBuckets()
+	nb := pc.NumBuckets()
 	for _, n := range []int{0, 1, 3, 4, 5, 64, 257} {
 		data := make([]uint64, n)
 		for i := range data {
@@ -59,7 +78,7 @@ func TestClassifyKeyedMatchesPartitionInPlace(t *testing.T) {
 
 		got := append([]uint64(nil), data...)
 		ids := make([]uint16, n)
-		ClassifyKeyed(got, func(x uint64) uint64 { return x }, kc, ids)
+		ClassifyPrefixed(got, ident, pc, ids, exactFallback)
 		gotBounds := PartitionInPlaceIDs(got, nb, ids)
 
 		if !reflect.DeepEqual(refBounds, gotBounds) {
@@ -77,27 +96,24 @@ func TestClassifyKeyedMatchesPartitionInPlace(t *testing.T) {
 	}
 }
 
-// TestClassifyKeyedEqFix pins the equality-bucket callback: keys equal
-// to a splitter go through fix, everything else maps directly.
-func TestClassifyKeyedEqFix(t *testing.T) {
+// TestClassifyPrefixedFallbackFires pins the collision callback on an
+// exact prefix: keys equal to a splitter go through the fallback, with
+// their index, and everything else maps directly.
+func TestClassifyPrefixedFallbackFires(t *testing.T) {
 	splitters := []uint64{10, 20, 20, 30}
-	kc := NewKeyedClassifier(splitters)
+	pc := NewPrefixClassifier(splitters)
 	data := []uint64{5, 10, 15, 20, 25, 30, 35}
 	ids := make([]uint16, len(data))
 	var fixed []uint64
-	ClassifyKeyedEq(data, func(x uint64) uint64 { return x }, kc, ids, func(i int, x uint64, eq int) int {
-		fixed = append(fixed, x)
-		return eq / 2 // resolve "equal" to the bucket left of the splitter run end
+	ClassifyPrefixed(data, ident, pc, ids, func(i, lo, hi int) int {
+		fixed = append(fixed, data[i])
+		return lo // resolve "equal" to the bucket left of the splitter run
 	})
 	if want := []uint64{10, 20, 30}; !reflect.DeepEqual(fixed, want) {
-		t.Fatalf("fix saw %v, want the splitter-equal keys %v", fixed, want)
+		t.Fatalf("fallback saw %v, want the splitter-equal keys %v", fixed, want)
 	}
-	for i, x := range data {
-		eq := kc.BucketEq(x)
-		want := eq / 2
-		if int(ids[i]) != want {
-			t.Fatalf("ids[%d] = %d for key %d, want %d", i, ids[i], x, want)
-		}
+	if want := []uint16{0, 0, 1, 1, 3, 3, 4}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("ids = %v, want %v", ids, want)
 	}
 }
 

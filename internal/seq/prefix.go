@@ -99,17 +99,7 @@ func SortPrefixed[E any](data []E, pfx []uint64, less func(a, b E) bool, sc *Pre
 	}
 
 	var h KeyedHist
-	h.n = n
-	for _, k := range pfx {
-		h.hist[0][k&0xff]++
-		h.hist[1][(k>>8)&0xff]++
-		h.hist[2][(k>>16)&0xff]++
-		h.hist[3][(k>>24)&0xff]++
-		h.hist[4][(k>>32)&0xff]++
-		h.hist[5][(k>>40)&0xff]++
-		h.hist[6][(k>>48)&0xff]++
-		h.hist[7][(k>>56)&0xff]++
-	}
+	HistKeyed(pfx, func(k uint64) uint64 { return k }, &h)
 
 	if unsafe.Sizeof(*new(E)) <= 8 {
 		// Word-sized payloads: ping-pong (prefix, payload) in lockstep.
@@ -294,14 +284,17 @@ func SortPrefixedOps(n int64) int64 {
 	return 11 * n
 }
 
-// PrefixClassifier is the prefix sibling of KeyedClassifier: the same
-// implicit-tree branchless uint64 descent, built over the splitters'
-// prefixes. Because prefixes need not be injective, an element whose
-// prefix equals some splitter prefix cannot be placed by the descent
-// alone — the caller resolves it over the run of equal-prefix splitters
-// (ClassifyPrefixed's fallback). Everything else never touches the
-// comparator: under the prefix contract, a strict prefix inequality
-// decides the element order.
+// PrefixClassifier is the uint64 specialization of Classifier: the
+// same implicit-tree branchless descent, built over the splitters'
+// prefixes, on raw word compares instead of per-level calls through a
+// generic less closure. Because prefixes need not be injective, an
+// element whose prefix equals some splitter prefix cannot be placed by
+// the descent alone — the caller resolves it over the run of
+// equal-prefix splitters (ClassifyPrefixed's fallback). Everything else
+// never touches the comparator: under the prefix contract, a strict
+// prefix inequality decides the element order. An exact prefix (a key
+// embedding the whole order, like Config.Key) is the special case
+// where the fallback run holds only splitters equal to the element.
 type PrefixClassifier struct {
 	tree     []uint64 // 1-indexed; tree[0] unused
 	spfx     []uint64 // sorted splitter prefixes
@@ -335,6 +328,9 @@ func NewPrefixClassifier(spfx []uint64) *PrefixClassifier {
 			c.runStart[i] = int32(i)
 		}
 	}
+	// In-order assignment of the padded sorted splitter sequence, so the
+	// descent "go right iff k ≥ tree[node]" computes the rank — the same
+	// construction as the generic Classifier.
 	idx := 0
 	maxSplitter := spfx[m-1]
 	var assign func(node int)
@@ -369,14 +365,31 @@ func (c *PrefixClassifier) bucket(k uint64) int {
 	}
 	b := node - len(c.tree)
 	if m := len(c.spfx); b > m {
+		// k ≥ max splitter walked past padding duplicates.
 		b = m
 	}
 	return b
 }
 
+// step is one branchless tree-descent level: go right iff k ≥ the
+// node's splitter (compiles to a flag-set, not a branch, so random
+// keys cost no mispredictions).
+func step(tree []uint64, n int, k uint64) int {
+	ge := 0
+	if k >= tree[n] {
+		ge = 1
+	}
+	return 2*n + ge
+}
+
 // ClassifyPrefixed fills ids[i] with the bucket of data[i], descending
-// on cached prefixes with the same 4-way unrolled lockstep loop as
-// ClassifyKeyed. Elements whose prefix collides with a splitter prefix
+// on prefixes — the classification pass of the partition fast path,
+// feeding PartitionInPlaceIDs. The tree is perfect (padded to a power
+// of two), so every descent takes exactly Levels steps; four elements
+// descend in lockstep so the four independent compare chains overlap
+// in flight — the super scalar sample sort argument (paper §2.2),
+// applied for real rather than only in the cost model. Elements whose
+// prefix collides with a splitter prefix
 // — the only ones whose bucket the descent cannot decide — are resolved
 // by fallback(i, lo, hi), which receives the index range [lo, hi) of
 // the splitters sharing the element's prefix and returns the element's

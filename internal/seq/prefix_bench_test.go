@@ -52,7 +52,7 @@ func BenchmarkSortPrefixed(b *testing.B) {
 }
 
 // BenchmarkSortPrefixedU64 is BenchmarkSortPrefixed on word-sized
-// payloads — the lockstep radix strategy — with the keyed LSD radix on
+// payloads — the lockstep radix strategy — with the keyed radix on
 // the same input as the ceiling it chases.
 func BenchmarkSortPrefixedU64(b *testing.B) {
 	const n = 1 << 20

@@ -37,11 +37,15 @@ func SortStable[E any](data []E, less func(a, b E) bool) {
 	})
 }
 
-// SortKeyed sorts data ascending by the uint64 key with least-
-// significant-digit radix sort (8-bit digits, up to 8 counting passes;
-// passes whose digit is constant across the input are skipped). The
-// sort is stable on equal keys. It is only a correct replacement for a
-// comparator sort when the key embeds the full order:
+// SortKeyed sorts data ascending by the uint64 key with a stable
+// most-significant-digit radix sort: each level scatters a segment by
+// its 8-bit digit into the other buffer (a stable counting pass,
+// skipped when the digit is constant across the segment) and recurses
+// into the digit's sub-segments, with insertion sort below msdCutoff
+// elements. Random keys finish after ~log₂₅₆(n) levels where an LSD
+// sort pays all eight passes over the whole input. It is only a
+// correct replacement for a comparator sort when the key embeds the
+// full order:
 //
 //	less(a, b) == (key(a) < key(b))  for all a, b
 //
@@ -53,20 +57,70 @@ func SortKeyed[E any](data []E, key func(E) uint64, scratch []E) []E {
 	if n < 2 {
 		return scratch
 	}
-	if n < 64 {
-		// Counting passes cost ~8·256 slots of setup; insertion-by-key
-		// wins on tiny inputs (stable, like the radix path).
-		insertionByKey(data, key)
-		return scratch
+	if len(scratch) < n {
+		scratch = make([]E, n)
 	}
-	var h KeyedHist
-	HistKeyed(data, key, &h)
-	sorted, spare := SortKeyedHist(data, key, scratch, &h)
-	if len(sorted) > 0 && len(data) > 0 && &sorted[0] != &data[0] {
-		copy(data, sorted)
-		return sorted // data holds the result; the radix buffer is the reusable scratch
+	msdStable(data, scratch[:n], key, 56, false)
+	return scratch
+}
+
+// msdCutoff is the segment size below which SortKeyed's descent
+// switches to insertion sort.
+const msdCutoff = 64
+
+// msdStable stably sorts src by the key digits at and below shift,
+// leaving the result in dst when into is set and in src otherwise; the
+// other buffer, of the same length, is scratch. Each scatter moves the
+// data to the other buffer, so a sub-segment's result must land back in
+// the buffer its parent wants — hence the flag flips per level.
+func msdStable[E any](src, dst []E, key func(E) uint64, shift uint, into bool) {
+	n := len(src)
+	if n <= msdCutoff {
+		if into {
+			copy(dst, src)
+			src = dst
+		}
+		insertionByKey(src, key)
+		return
 	}
-	return spare
+	var counts, next [256]int
+	for _, e := range src {
+		counts[(key(e)>>shift)&0xff]++
+	}
+	sum := 0
+	for d, c := range counts {
+		if c == n {
+			// Constant digit: descend without scattering.
+			if shift == 0 {
+				if into {
+					copy(dst, src)
+				}
+				return
+			}
+			msdStable(src, dst, key, shift-8, into)
+			return
+		}
+		next[d] = sum
+		sum += c
+	}
+	for _, e := range src {
+		d := (key(e) >> shift) & 0xff
+		dst[next[d]] = e
+		next[d]++
+	}
+	if shift == 0 {
+		if !into {
+			copy(src, dst)
+		}
+		return
+	}
+	lo := 0
+	for _, c := range counts {
+		if c > 0 {
+			msdStable(dst[lo:lo+c], src[lo:lo+c], key, shift-8, !into)
+		}
+		lo += c
+	}
 }
 
 // KeyedHist accumulates the per-digit histograms of the LSD radix sort.
@@ -95,13 +149,14 @@ func HistKeyed[E any](data []E, key func(E) uint64, h *KeyedHist) {
 	}
 }
 
-// SortKeyedHist runs the scatter passes of the stable LSD radix sort
+// SortKeyedHist is the stable LSD radix sort by the uint64 key (8-bit
+// digits, passes whose digit is constant across the input skipped),
 // with histograms accumulated up front (HistKeyed over exactly data's
-// elements, in any order). It returns the buffer holding the sorted
-// result — data or scratch, whichever the last active pass landed in —
-// together with the other (spare) buffer, so callers that own both
-// avoid the copy-back of SortKeyed. scratch is grown as needed; h is
-// consumed.
+// elements, in any order) — so they can stream in with the data. It
+// returns the buffer holding the sorted result — data or scratch,
+// whichever the last active pass landed in — together with the other
+// (spare) buffer, so callers that own both skip a copy-back. scratch is
+// grown as needed; h is consumed. Same key contract as SortKeyed.
 func SortKeyedHist[E any](data []E, key func(E) uint64, scratch []E, h *KeyedHist) (sorted, spare []E) {
 	n := len(data)
 	if h.n != n {
@@ -158,8 +213,7 @@ func SortKeyedOps(n int64) int64 {
 	return 9 * n
 }
 
-// insertionByKey is the stable small-input sort shared by the radix
-// kernels.
+// insertionByKey is SortKeyed's stable small-input sort.
 func insertionByKey[E any](data []E, key func(E) uint64) {
 	for i := 1; i < len(data); i++ {
 		e, k := data[i], key(data[i])
@@ -169,77 +223,5 @@ func insertionByKey[E any](data []E, key func(E) uint64) {
 			j--
 		}
 		data[j] = e
-	}
-}
-
-// msdCutoff is the segment size below which the in-place radix descent
-// switches to insertion sort.
-const msdCutoff = 64
-
-// SortKeyedInPlace sorts data ascending by the uint64 key with an
-// in-place MSD radix sort: an American-flag cycle walk per 8-bit digit
-// (like PartitionInPlace, but with the digit as the bucket) recursing
-// into the 256 sub-segments, with insertion sort below 64 elements. It
-// allocates nothing — the kernel the sorters' hot paths use, where the
-// LSD variant's full-size ping-pong scratch would be the largest
-// allocation of a level. Deterministic but NOT stable on equal keys
-// (irrelevant under the Config.Key contract, which makes equal-key
-// elements order-indistinguishable; use SortKeyed where stability
-// matters). Same key contract as SortKeyed:
-//
-//	less(a, b) == (key(a) < key(b))  for all a, b
-func SortKeyedInPlace[E any](data []E, key func(E) uint64) {
-	msdRadix(data, key, 56)
-}
-
-func msdRadix[E any](data []E, key func(E) uint64, shift uint) {
-	n := len(data)
-	if n <= msdCutoff {
-		if n > 1 {
-			insertionByKey(data, key)
-		}
-		return
-	}
-	var counts [256]int
-	for _, e := range data {
-		counts[(key(e)>>shift)&0xff]++
-	}
-	var bounds [257]int
-	single := -1
-	for b := 0; b < 256; b++ {
-		bounds[b+1] = bounds[b] + counts[b]
-		if counts[b] == n {
-			single = b
-		}
-	}
-	if single < 0 {
-		// American-flag walk: swap every element into its digit's
-		// segment; each swap finalizes one element, so the walk is O(n).
-		next := bounds
-		for b := 0; b < 256; b++ {
-			for i := next[b]; i < bounds[b+1]; i = next[b] {
-				v := int((key(data[i]) >> shift) & 0xff)
-				if v == b {
-					next[b] = i + 1
-					continue
-				}
-				j := next[v]
-				next[v] = j + 1
-				data[i], data[j] = data[j], data[i]
-			}
-		}
-	}
-	if shift == 0 {
-		return
-	}
-	if single >= 0 {
-		// Constant digit: descend without the walk.
-		msdRadix(data, key, shift-8)
-		return
-	}
-	for b := 0; b < 256; b++ {
-		if seg := data[bounds[b]:bounds[b+1]]; len(seg) > 1 {
-			msdRadix(seg, key, shift-8)
-		}
 	}
 }

@@ -18,20 +18,18 @@ var allKinds = []workload.Kind{
 }
 
 // TestSortKernelsByteIdentity: on uint64 data of every workload kind
-// and a range of sizes, the comparator kernel (pdqsort), the stable LSD
-// radix, and the in-place MSD radix must produce byte-identical output
-// (on bare uint64 the sorted sequence is unique, so this is the exact
-// cross-check the torture harness's keyed dimension relies on).
+// and a range of sizes, the comparator kernel (pdqsort) and the stable
+// keyed radix must produce byte-identical output (on bare uint64 the
+// sorted sequence is unique, so this is the exact cross-check the
+// torture harness's keyed dimension relies on).
 func TestSortKernelsByteIdentity(t *testing.T) {
 	for _, kind := range allKinds {
 		for _, n := range []int{0, 1, 2, 63, 64, 65, 1000, 1 << 14} {
 			data := workload.Local(kind, uint64(n)+1, 1, n, 0)
 			cmp := append([]uint64(nil), data...)
 			lsd := append([]uint64(nil), data...)
-			msd := append([]uint64(nil), data...)
 			Sort(cmp, u64Less)
 			SortKeyed(lsd, ident, nil)
-			SortKeyedInPlace(msd, ident)
 			want := append([]uint64(nil), data...)
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 			for i := range want {
@@ -41,17 +39,13 @@ func TestSortKernelsByteIdentity(t *testing.T) {
 				if lsd[i] != want[i] {
 					t.Fatalf("%v n=%d: SortKeyed diverges at %d: %d want %d", kind, n, i, lsd[i], want[i])
 				}
-				if msd[i] != want[i] {
-					t.Fatalf("%v n=%d: SortKeyedInPlace diverges at %d: %d want %d", kind, n, i, msd[i], want[i])
-				}
 			}
 		}
 	}
 }
 
 // TestSortKeyedStability: SortKeyed is documented stable — elements
-// with equal keys keep their input order (SortKeyedInPlace makes no
-// such promise and is excluded).
+// with equal keys keep their input order.
 func TestSortKeyedStability(t *testing.T) {
 	type kv struct {
 		k   uint64
@@ -61,7 +55,9 @@ func TestSortKeyedStability(t *testing.T) {
 	for _, n := range []int{10, 63, 64, 500, 5000} {
 		data := make([]kv, n)
 		for i := range data {
-			data[i] = kv{k: uint64(rng.Intn(8)), pos: i} // heavy ties
+			// Heavy ties, spread over all eight digits so the MSD descent
+			// recurses through several levels.
+			data[i] = kv{k: uint64(rng.Intn(8)) << (8 * uint(rng.Intn(8))), pos: i}
 		}
 		SortKeyed(data, func(e kv) uint64 { return e.k }, nil)
 		for i := 1; i < n; i++ {
@@ -76,7 +72,7 @@ func TestSortKeyedStability(t *testing.T) {
 	}
 }
 
-// TestSortKeyedMonotoneKeys: the kernels only require the key to embed
+// TestSortKeyedMonotoneKeys: the kernel only requires the key to embed
 // the order (less(a,b) == key(a) < key(b)); a compressing key with
 // byte-sparse structure (high bytes constant — the pass-skip path) must
 // still sort correctly and deterministically.
@@ -89,28 +85,18 @@ func TestSortKeyedMonotoneKeys(t *testing.T) {
 			data[i] = uint64(rng.Intn(1 << 12)) // only low bytes vary
 		}
 		a := append([]uint64(nil), data...)
-		b := append([]uint64(nil), data...)
 		SortKeyed(a, key, nil)
-		SortKeyedInPlace(b, key)
 		for i := 1; i < n; i++ {
 			if key(a[i-1]) > key(a[i]) {
 				t.Fatalf("SortKeyed: key order violated at %d", i)
 			}
-			if key(b[i-1]) > key(b[i]) {
-				t.Fatalf("SortKeyedInPlace: key order violated at %d", i)
-			}
 		}
 		// Determinism: same input sorts identically every time.
 		a2 := append([]uint64(nil), data...)
-		b2 := append([]uint64(nil), data...)
 		SortKeyed(a2, key, nil)
-		SortKeyedInPlace(b2, key)
 		for i := range a {
 			if a[i] != a2[i] {
 				t.Fatalf("SortKeyed not deterministic at %d", i)
-			}
-			if b[i] != b2[i] {
-				t.Fatalf("SortKeyedInPlace not deterministic at %d", i)
 			}
 		}
 	}

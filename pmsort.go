@@ -111,14 +111,15 @@ type (
 	RunResult = sim.RunResult
 	// Config tunes the sorting algorithms (levels, sampling factors,
 	// delivery strategy, tie-breaking, and the local-kernel fast paths:
-	// set Key to a func(E) uint64 embedding the element order to switch
-	// the local sort phases to radix kernels, or — for comparator sorts
-	// — set Prefix to an order-preserving, not necessarily injective
+	// set Prefix to an order-preserving, not necessarily injective
 	// func(E) uint64 to route classification, local sorting, and merging
 	// through cached uint64 compares with the comparator deciding only
-	// equal-prefix ties; output stays byte-identical to the plain
-	// comparator path. Ordered scalar/string element types derive a
-	// Prefix automatically; NoPrefix opts out. See DESIGN.md §11.)
+	// equal-prefix ties, or set Key to a func(E) uint64 embedding the
+	// whole element order — an exact prefix, which also lets the local
+	// sorts run as sidecar-free radix sorts on the key. Either way the
+	// output stays byte-identical to the plain comparator path. Ordered
+	// scalar/string element types derive a Prefix automatically;
+	// NoPrefix opts out. See DESIGN.md §9 and §11.)
 	Config = core.Config
 	// Stats reports per-phase times and balance of a run (virtual ns on
 	// the simulated backend, wall-clock ns on the native one).

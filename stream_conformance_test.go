@@ -10,13 +10,15 @@ import (
 	"pmsort/internal/workload"
 )
 
-// TestStreamedDeliveryConformance pins that the receive-driven delivery
-// consumers (DeliveryOptions.Batch unset — the default) produce output
-// byte-identical to the original materialize-then-process path
-// (Batch: true), for both sorters, both kernels, and both exchange
-// algorithms, on the native backend across several workloads. The
-// torture harness additionally randomizes the knob across seeds and
-// backends; this test is the direct A/B pin.
+// TestStreamedDeliveryConformance pins that the streaming sorters'
+// hooked kernels are invisible in the bytes: with Config.Key set
+// (keyed=true) or with the derived prefix cache (keyed=false), the
+// output equals the plain comparator kernels' (Key unset, NoPrefix)
+// byte for byte, for both sorters, both delivery strategies, and both
+// exchange algorithms, on the native backend across several workloads.
+// The exchange consumers themselves are pinned against a
+// materialize-then-process reference in internal/core
+// (TestStreamConsumersMatchReference).
 func TestStreamedDeliveryConformance(t *testing.T) {
 	const p, perPE = 5, 600
 	for _, algo := range []string{"ams", "rlm"} {
@@ -25,12 +27,13 @@ func TestStreamedDeliveryConformance(t *testing.T) {
 				for _, kind := range []workload.Kind{workload.Uniform, workload.DupHeavy, workload.OnePE} {
 					name := fmt.Sprintf("%s/keyed=%v/%v/%v", algo, keyed, strat, kind)
 					t.Run(name, func(t *testing.T) {
-						run := func(batch bool) [][]uint64 {
+						run := func(plain bool) [][]uint64 {
 							cfg := Config{Levels: 2, Seed: 99, TieBreak: true}
 							cfg.Delivery.Strategy = strat
 							cfg.Delivery.Exchange = DeliveryExchange(len(name) % 2)
-							cfg.Delivery.Batch = batch
-							if keyed {
+							if plain {
+								cfg.NoPrefix = true
+							} else if keyed {
 								cfg.Key = u64Key
 							}
 							outs := make([][]uint64, p)
@@ -46,9 +49,8 @@ func TestStreamedDeliveryConformance(t *testing.T) {
 							})
 							return outs
 						}
-						batch, streamed := run(true), run(false)
-						if !reflect.DeepEqual(batch, streamed) {
-							t.Fatalf("streamed output differs from batch output")
+						if plain, hooked := run(true), run(false); !reflect.DeepEqual(plain, hooked) {
+							t.Fatalf("hooked output differs from the plain comparator output")
 						}
 					})
 				}
